@@ -50,6 +50,15 @@ pub struct SolverStats {
     pub assoc_fallbacks: u64,
 }
 
+impl std::ops::AddAssign for SolverStats {
+    fn add_assign(&mut self, other: SolverStats) {
+        self.queries += other.queries;
+        self.fallbacks += other.fallbacks;
+        self.nodes += other.nodes;
+        self.assoc_fallbacks += other.assoc_fallbacks;
+    }
+}
+
 /// Fold per-reference exact counts into one total — the one place the
 /// aggregation lives, shared by the top-level report and its per-level
 /// slices so the two can never diverge.
@@ -451,10 +460,7 @@ pub fn sampled(an: &NestAnalysis, cfg: &SamplingConfig, seed: u64) -> MissEstima
                 for (x, y) in a.iter_mut().zip(&b) {
                     x.merge(y);
                 }
-                sa.queries += sb.queries;
-                sa.fallbacks += sb.fallbacks;
-                sa.nodes += sb.nodes;
-                sa.assoc_fallbacks += sb.assoc_fallbacks;
+                sa += sb;
                 (a, sa)
             },
         );

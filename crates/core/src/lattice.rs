@@ -37,7 +37,7 @@
 //! repeated runs are bit-identical.
 
 use crate::engine::EvalEngine;
-use crate::estimate::{MissEstimate, RefEstimate};
+use crate::estimate::{MissEstimate, RefEstimate, SolverStats};
 use crate::estimator::Estimator;
 use crate::interference::InterferenceEngine;
 use crate::model::NestAnalysis;
@@ -45,6 +45,7 @@ use crate::reuse::ReuseCandidate;
 use cme_loopnest::{MemoryLayout, TileSizes};
 use cme_polyhedra::modcount::residue_counts;
 use cme_polyhedra::{AffineForm, IntBox, Interval};
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -159,37 +160,48 @@ impl Estimator for LatticeEstimator<'_> {
     }
 }
 
-/// Single-level lattice estimate of one assembled analysis.
+/// Single-level lattice estimate of one assembled analysis. References
+/// are counted in parallel, each with its own candidate lift and
+/// interference engine; solver counters are summed in reference order.
 pub(crate) fn estimate_analysis(an: &NestAnalysis) -> MissEstimate {
     let volume = an.space.volume();
-    let mut iface = an.engine();
-    let capped;
-    let cands: &[Vec<ReuseCandidate>] = match candidate_cap(volume) {
-        None => an.candidates(),
-        Some(cap) => {
-            capped = crate::reuse::lift_base_capped(&an.base, &an.space, cap);
-            &capped
-        }
-    };
-    let per_ref = (0..an.addr.len())
-        .map(|a| {
+    let cap = candidate_cap(volume);
+    let refs: Vec<usize> = (0..an.addr.len()).collect();
+    let counted: Vec<(RefEstimate, SolverStats)> = refs
+        .par_iter()
+        .map(|&a| {
             if volume == 0 {
-                return RefEstimate { p_cold: 0.0, p_repl: 0.0, half_width: 0.0 };
+                let empty = RefEstimate { p_cold: 0.0, p_repl: 0.0, half_width: 0.0 };
+                return (empty, SolverStats::default());
             }
-            let (cold, repl) = classify_ref(an, &mut iface, a, &cands[a]);
-            RefEstimate {
+            let mut iface = an.engine();
+            let capped;
+            let cands = match cap {
+                None => &an.candidates()[a],
+                Some(cap) => {
+                    capped = crate::reuse::lift_ref_capped(&an.base, a, &an.space, cap);
+                    &capped
+                }
+            };
+            let (cold, repl) = classify_ref(an, &mut iface, a, cands);
+            let est = RefEstimate {
                 p_cold: cold as f64 / volume as f64,
                 p_repl: repl as f64 / volume as f64,
                 half_width: 0.0,
-            }
+            };
+            (est, an.stats_of(&iface))
         })
         .collect();
+    let mut solver = SolverStats::default();
+    for (_, stats) in &counted {
+        solver += *stats;
+    }
     MissEstimate {
         n_samples: volume,
         volume,
         exact: true,
-        per_ref,
-        solver: an.stats_of(&iface),
+        per_ref: counted.into_iter().map(|(est, _)| est).collect(),
+        solver,
         levels: None,
     }
 }

@@ -210,20 +210,22 @@ pub fn lift_base(base: &CandidateBase, space: &ExecSpace) -> Vec<Vec<ReuseCandid
         .collect()
 }
 
-/// Lift only the `cap` most-recent candidates per reference — the
+/// Lift only the `cap` most-recent candidates of reference `a` — the
 /// bounded-selection variant of [`lift_base`] for consumers that walk
 /// candidates most-recent-first and can conservatively treat the tail as
-/// absent (the lattice estimator at large iteration volumes). Selection
-/// streams realisations through the allocation-free visitor and keeps a
-/// worst-tracking heap of size `cap`, so the cost is bounded by the
-/// selection, not the full materialisation. The result is a prefix of
-/// [`lift_base`]'s output (up to duplicates consuming heap slots, which
-/// can only shorten it — never reorder it).
-pub fn lift_base_capped(
+/// absent (the lattice estimator at large iteration volumes, one
+/// reference per parallel item). Selection streams realisations through
+/// the allocation-free visitor and keeps a worst-tracking heap of size
+/// `cap`, so the cost is bounded by the selection, not the full
+/// materialisation. The result is a prefix of [`lift_base`]'s list for
+/// `a` (up to duplicates consuming heap slots, which can only shorten
+/// it — never reorder it).
+pub fn lift_ref_capped(
     base: &CandidateBase,
+    a: usize,
     space: &ExecSpace,
     cap: usize,
-) -> Vec<Vec<ReuseCandidate>> {
+) -> Vec<ReuseCandidate> {
     use std::collections::BinaryHeap;
 
     /// Max-heap wrapper: the greatest element is the *least recent*
@@ -246,40 +248,34 @@ pub fn lift_base_capped(
         }
     }
 
-    base.iter()
-        .enumerate()
-        .map(|(a, pairs)| {
-            let mut heap: BinaryHeap<ByRecency> = BinaryHeap::with_capacity(cap + 1);
-            for (b, displacements) in pairs {
-                for r in displacements.iter() {
-                    space.lift_displacement_each(r, |rv| {
-                        // Sign of rv in lex order, without allocating a
-                        // zero vector: first non-zero component decides.
-                        match rv.iter().find(|&&x| x != 0) {
-                            None if *b >= a => return,
-                            Some(&x) if x < 0 => return,
-                            _ => {}
-                        }
-                        if heap.len() == cap {
-                            // Compare against the current worst without
-                            // allocating; identical or less recent → skip.
-                            let worst = &heap.peek().unwrap().0;
-                            let ord = lex_cmp(rv, &worst.rv).then(worst.src_ref.cmp(b));
-                            if ord != Ordering::Less {
-                                return;
-                            }
-                            heap.pop();
-                        }
-                        heap.push(ByRecency(ReuseCandidate { rv: rv.to_vec(), src_ref: *b }));
-                    });
+    let mut heap: BinaryHeap<ByRecency> = BinaryHeap::with_capacity(cap + 1);
+    for (b, displacements) in &base[a] {
+        for r in displacements.iter() {
+            space.lift_displacement_each(r, |rv| {
+                // Sign of rv in lex order, without allocating a zero
+                // vector: first non-zero component decides.
+                match rv.iter().find(|&&x| x != 0) {
+                    None if *b >= a => return,
+                    Some(&x) if x < 0 => return,
+                    _ => {}
                 }
-            }
-            let mut cands: Vec<ReuseCandidate> =
-                heap.into_sorted_vec().into_iter().map(|w| w.0).collect();
-            cands.dedup();
-            cands
-        })
-        .collect()
+                if heap.len() == cap {
+                    // Compare against the current worst without allocating;
+                    // identical or less recent → skip.
+                    let worst = &heap.peek().unwrap().0;
+                    let ord = lex_cmp(rv, &worst.rv).then(worst.src_ref.cmp(b));
+                    if ord != Ordering::Less {
+                        return;
+                    }
+                    heap.pop();
+                }
+                heap.push(ByRecency(ReuseCandidate { rv: rv.to_vec(), src_ref: *b }));
+            });
+        }
+    }
+    let mut cands: Vec<ReuseCandidate> = heap.into_sorted_vec().into_iter().map(|w| w.0).collect();
+    cands.dedup();
+    cands
 }
 
 /// Generate the recency-sorted candidate list for every reference of a
@@ -375,8 +371,8 @@ mod tests {
             let base = candidate_base(&nest, &layout, 32);
             let full = lift_base(&base, &space);
             for cap in [1, 2, 3, 7, 16, 64, MAX_CANDIDATES_PER_REF] {
-                let capped = lift_base_capped(&base, &space, cap);
-                for (a, (got, want)) in capped.iter().zip(&full).enumerate() {
+                for (a, want) in full.iter().enumerate() {
+                    let got = lift_ref_capped(&base, a, &space, cap);
                     assert!(got.len() <= cap, "ref {a}: cap {cap} exceeded");
                     assert_eq!(
                         got.as_slice(),

@@ -20,12 +20,11 @@
 //! minimal `{"nest": ..., "strategy": ...}` is a complete request and maps
 //! to the same cache entry as its fully spelled-out form.
 
-use crate::cache::canonical_key;
 use crate::http::{HttpRequest, HttpResponse};
 use crate::metrics::Metrics;
 use cme_api::cme::{CacheSpec, SamplingConfig};
 use cme_api::{ApiError, GaConfig, LintRequest, OptimizeRequest, Outcome};
-use cme_runtime::{Resolution, Runtime, RuntimeConfig, RuntimeError};
+use cme_runtime::{canonical_key, Resolution, Runtime, RuntimeConfig, RuntimeError};
 use serde::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;

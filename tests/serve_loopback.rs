@@ -13,13 +13,18 @@
 //!   worker (the readiness core frames requests before dispatch);
 //! * concurrent identical requests coalesce onto one computation and
 //!   every caller gets a byte-identical timing-stripped body;
+//! * concurrent distinct GA requests on two workers, whose parallel
+//!   regions share one process-wide thread pool, answer exactly what
+//!   `Session::run` answers;
 //! * keep-alive connections serve sequential requests;
 //! * malformed input gets a `400`, not a hung or dropped connection.
 
-use cme_suite::api::{Outcome, Session};
+use cme_suite::api::cme::SamplingConfig;
+use cme_suite::api::{CacheHierarchy, NestSource, OptimizeRequest, Outcome, Session, StrategySpec};
 use cme_suite::serve::{HttpClient, ServeConfig};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Start a server on an ephemeral port with a small, test-friendly shape.
@@ -284,6 +289,61 @@ fn concurrent_identical_requests_coalesce_over_the_wire() {
     assert!(count("followers") >= 1, "concurrent identical requests must share: {metrics}");
     assert_eq!(count("in_flight"), 0, "{metrics}");
 
+    handle.shutdown_and_join();
+}
+
+/// A lean GA request on the two-level hierarchy: with a fresh seed it
+/// misses the outcome cache and runs GA batches and per-level sampled
+/// estimates as parallel regions.
+fn lean_l1l2_request(seed: u64) -> OptimizeRequest {
+    let mut req = OptimizeRequest::new(NestSource::kernel_sized("T2D", 64), StrategySpec::Tiling)
+        .with_cache(CacheHierarchy::l1l2_default())
+        .with_seed(seed);
+    req.sampling = SamplingConfig::fixed(32);
+    req.ga.population = 10;
+    req.ga.min_generations = 3;
+    req.ga.max_generations = 3;
+    req
+}
+
+#[test]
+fn two_workers_sharing_the_parallel_pool_answer_like_session() {
+    const CLIENTS: u64 = 2;
+    let handle = start(2, 16);
+    let addr = handle.addr();
+    let barrier = Arc::new(Barrier::new(CLIENTS as usize));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut client = HttpClient::connect(addr).expect("connect");
+                barrier.wait();
+                (0..3)
+                    .map(|k| {
+                        let req = lean_l1l2_request(1000 + 10 * c + k);
+                        let body = serde_json::to_string(&req).expect("request serialises");
+                        let (status, reply) = client.post("/optimize", &body).expect("response");
+                        assert_eq!(status, 200, "{reply}");
+                        (req, reply)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+
+    let session = Session::default();
+    for client in clients {
+        for (req, reply) in client.join().expect("client thread") {
+            let served: Outcome = serde_json::from_str(&reply).expect("outcome JSON");
+            let direct = session.run(&req).expect("direct run");
+            assert_eq!(
+                serde_json::to_string(&served.without_timing()).unwrap(),
+                serde_json::to_string(&direct.without_timing()).unwrap(),
+                "seed {}: served outcome must equal Session::run modulo wall_ms",
+                req.ga.seed
+            );
+        }
+    }
     handle.shutdown_and_join();
 }
 
